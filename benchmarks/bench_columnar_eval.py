@@ -10,11 +10,16 @@ identity is asserted unconditionally, quick mode included):
   dict-of-tuples DP by >=3x per disjunct on a duplicate-heavy acyclic
   3-atom IJ workload — the per-value fan-in is exactly what the
   group-by messages vectorize;
-* **generic join**: the sorted-column-array LFTJ (per-atom lexsort
-  once, ``searchsorted`` range narrowing, vectorized innermost
-  intersection) beats the dict-trie LFTJ on the cyclic triangle
+* **generic join**: the level-at-a-time join on code arrays (per-atom
+  sort once, every live prefix extended per level by batched
+  ``searchsorted``) beats the dict-trie join on the cyclic triangle
   disjuncts, where the tuple path has to intersect level sets value by
   value;
+* **decomposition**: ``count_ej(..., method="decomposition")`` over
+  the triangle's cyclic disjuncts builds every bag on code arrays with
+  the level-at-a-time join and runs the counting DP over the bag tree;
+  it beats the tuple bag path (projections as Python sets, dict-trie
+  join, dict DP), and no disjunct falls back to it;
 * **warm count**: end to end, a memmap-warm ``count_ij`` tail
   (``load_result`` of a v5 frame -> ``count_disjunction``) answers
   >=2x faster with the kernels engaged than the PR 9 tuple tier on the
@@ -45,7 +50,13 @@ from repro.engine import (
     columnar_yannakakis_count,
     use_columnar_kernels,
 )
-from repro.engine.ej import _label_tree_to_index_tree, join_atoms_for
+from repro.engine.decomposition import columnar_count_with_decomposition
+from repro.engine.ej import (
+    _label_tree_to_index_tree,
+    count_ej,
+    join_atoms_for,
+    optimal_decomposition,
+)
 from repro.engine.generic_join import generic_join_count
 from repro.engine.yannakakis import yannakakis_count
 from repro.hypergraph.acyclicity import join_tree
@@ -267,7 +278,7 @@ def test_array_lftj_beats_trie_lftj(benchmark):
     print_table(
         f"generic join over the triangle's cyclic disjuncts, "
         f"|D~| = {kernel_side.database.size}, count = {sum(fast)}",
-        ["trie LFTJ (median)", "array LFTJ (median)", "speedup"],
+        ["trie join (median)", "level join (median)", "speedup"],
         [
             (
                 f"{trie_s * 1e3:.1f}ms",
@@ -292,6 +303,77 @@ def test_array_lftj_beats_trie_lftj(benchmark):
     # the vectorized innermost intersection, so the margin is real but
     # bounded — claim it does not regress below the trie path
     shape_assert(speedup >= 1.1, f"expected >=1.1x, got x{speedup:.2f}")
+
+
+def test_decomposition_bags_beat_tuple_bags(benchmark):
+    query = _triangle_query()
+    db = interval_pool_database(
+        query, TRIANGLE_N, TRIANGLE_DISTINCT, seed=7
+    )
+    kernel_side, oracle_side = _twin_reductions(query, db)
+    fallbacks = sum(
+        columnar_count_with_decomposition(
+            join_atoms_for(ej, kernel_side.database),
+            optimal_decomposition(ej.hypergraph()),
+        )
+        is None
+        for ej in kernel_side.ej_queries
+    )
+
+    def counts(side):
+        return [
+            count_ej(ej, side.database, method="decomposition")
+            for ej in side.ej_queries
+        ]
+
+    def run():
+        fast_times, tuple_times = [], []
+        fast = slow = None
+        for _ in range(ROUNDS):
+            start = time.perf_counter()
+            fast = counts(kernel_side)
+            fast_times.append(time.perf_counter() - start)
+            with use_columnar_kernels(False):
+                start = time.perf_counter()
+                slow = counts(oracle_side)
+                tuple_times.append(time.perf_counter() - start)
+        return fast, slow, median(fast_times), median(tuple_times)
+
+    fast, slow, fast_s, tuple_s = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    # per-disjunct count identity and full engagement — always
+    assert fast == slow
+    assert fallbacks == 0
+
+    speedup = tuple_s / max(fast_s, 1e-9)
+    print_table(
+        f"decomposition count over the triangle's cyclic disjuncts, "
+        f"|D~| = {kernel_side.database.size}, count = {sum(fast)}",
+        ["tuple bags (median)", "columnar bags (median)", "speedup"],
+        [
+            (
+                f"{tuple_s * 1e3:.1f}ms",
+                f"{fast_s * 1e3:.1f}ms",
+                f"x{speedup:.1f}",
+            )
+        ],
+    )
+    _merge_results(
+        "decomposition",
+        {
+            "n_per_relation": TRIANGLE_N,
+            "distinct_intervals": TRIANGLE_DISTINCT,
+            "transformed_size": kernel_side.database.size,
+            "disjuncts": len(fast),
+            "total_count": sum(fast),
+            "fallbacks": fallbacks,
+            "tuple_ms": tuple_s * 1e3,
+            "columnar_ms": fast_s * 1e3,
+            "speedup": speedup,
+        },
+    )
+    shape_assert(speedup >= 3.0, f"expected >=3x, got x{speedup:.1f}")
 
 
 def test_warm_count_beats_tuple_tier(benchmark, tmp_path):

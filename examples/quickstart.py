@@ -44,8 +44,9 @@ Walks through the paper's running example, the triangle query
     explicit ``allow_pickle=True`` (CLI ``--cache-allow-pickle``) —
     migrate by simply re-warming the cache directory;
 13. the columnar evaluation tier — the vectorized counting DP, the
-    sorted-column-array generic join and the mask-sweep full reducer,
-    which evaluate reduced EJ disjuncts directly on the uint32 code
+    level-at-a-time generic join (which also builds the decomposition
+    bags of cyclic disjuncts) and the mask-sweep full reducer, which
+    evaluate reduced EJ disjuncts directly on the uint32 code
     matrices (no tuple materialization on the warm path), fall back
     to the retained tuple implementations whenever a relation is not
     columnar over one codebook, and can be forced off with the
@@ -535,21 +536,24 @@ def main() -> None:
     #     messages via mixed-radix packed keys + np.bincount, so
     #     COUNT(*) over a warm artifact never decodes a tuple;
     #   * generic join — per-atom lexsort once in the global variable
-    #     order, searchsorted range narrowing per level, vectorized
-    #     innermost intersection (the cyclic-disjunct path);
+    #     order, then one level per variable that extends *all* live
+    #     prefixes at once with batched searchsorted; it builds each
+    #     decomposition bag of a cyclic disjunct as a code matrix, and
+    #     the counting DP then runs over the bag tree;
     #   * full evaluation — semijoin mask sweeps + output-projected
     #     frame joins; only the final result rows are decoded.
     # Every kernel falls back to the retained tuple implementation
-    # (dict DP, trie LFTJ, tuple Yannakakis) when a relation is not
-    # columnar over one shared codebook — e.g. after a delta patch
-    # materialized it — and `use_columnar_kernels(False)` forces the
+    # (dict DP, trie generic join, tuple Yannakakis, tuple bags) when a
+    # relation is not columnar over one shared codebook — e.g. after a
+    # delta patch materialized it — and `use_columnar_kernels(False)` forces the
     # tuple tier everywhere, which is how the differential tests pin
     # the two tiers against each other.  The SQL cost model knows the
     # difference: EXPLAIN prints `columnar: yes/no` per disjunct and
     # prices COUNT(*) heads accordingly.
     # The triangle's reduced disjuncts are cyclic, so this exercises
-    # the array generic join; the counting DP's order-of-magnitude
-    # wins show on acyclic queries with join-value fan-in — see
+    # the bag join and the counting DP over the bag tree; the DP's
+    # order-of-magnitude wins show on acyclic queries with join-value
+    # fan-in — see
     # benchmarks/bench_columnar_eval.py.
     from repro.core.disjunct_eval import count_disjunction
     from repro.engine import use_columnar_kernels

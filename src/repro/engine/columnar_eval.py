@@ -19,13 +19,24 @@ execution model to everything else the evaluation tier does:
   ``int64``-safe range falls back to the retained dict DP (which counts
   in unbounded Python ints).
 
-* :func:`columnar_generic_join_count` / ``_boolean`` — the worst-case
-  optimal join on sorted column arrays instead of nested dict tries.
-  Each atom's code matrix is lexicographically sorted **once** per call
-  (``np.lexsort`` in the global variable order restricted to its
-  columns); the per-level candidate scan then narrows ``[lo, hi)`` row
-  ranges with ``searchsorted`` instead of descending trie nodes, and
-  the innermost level intersects whole sorted segments at once.
+* :func:`level_join` — the one worst-case-optimal join on code
+  arrays, one variable level at a time.  Each atom's distinct rows are
+  sorted **once** per call (packed-key ``np.unique``, else
+  ``np.lexsort``), and every live prefix is a per-atom row range.  A
+  level extends *all* prefixes at once: each prefix's narrowest holder
+  of the variable supplies its distinct values as candidates (a slice
+  of precomputed run starts, expanded with ``np.repeat``), and every
+  other holder keeps or drops them with one batched ``searchsorted``
+  over its sorted composite keys — no Python loop runs per prefix.
+  Count and Boolean stop at the first level from which every variable
+  is private to one atom (each prefix then extends by the product of
+  those atoms' range sizes) and at the first empty level.
+  :func:`columnar_generic_join_count` / ``_boolean`` run it over whole
+  disjuncts (``method="generic"``), and
+  :func:`repro.engine.decomposition.columnar_bags` runs it in ``rows``
+  mode to build each decomposition bag of a cyclic disjunct as a code
+  matrix, which the counting DP, semijoin sweep and full reducer then
+  evaluate over the bag tree.
 
 * :func:`columnar_yannakakis_full` — full acyclic evaluation
   (full reducer + output-projected bottom-up joins) over survivor masks
@@ -70,7 +81,9 @@ __all__ = [
     "edge_keys",
     "kernels_enabled",
     "key_isin",
+    "level_join",
     "use_columnar_kernels",
+    "variable_kinds",
 ]
 
 #: Packed-key radix products at or below this are "small": membership
@@ -266,8 +279,9 @@ def columnar_yannakakis_count(
         return 0
     book = blocks[0].book
     counts = [np.ones(block.row_count, dtype=COUNT_DTYPE) for block in blocks]
-    #: per node, an upper bound on any single count entry (Python int —
-    #: the overflow guard for the int64 arrays)
+    #: per node, its largest count entry (Python int — the overflow
+    #: guard for the int64 arrays, taken from the arrays themselves so
+    #: it is exact rather than a product of row counts)
     bounds = [1] * len(blocks)
     total = 1
     try:
@@ -281,12 +295,14 @@ def columnar_yannakakis_count(
                 shared, p_idx, c_idx = _shared_code_columns(
                     blocks, atoms, p, node
                 )
+                # every message entry is a sum of child counts, so the
+                # child's exact total bounds it
+                child_total = _exact_sum(counts[node], bounds[node])
+                if child_total == 0:
+                    return 0
                 if not shared:
                     # cartesian edge: every parent row extends by every
                     # child assignment — multiply by the child's total
-                    child_total = _exact_sum(counts[node], bounds[node])
-                    if child_total == 0:
-                        return 0
                     bounds[p] *= child_total
                     if bounds[p] > _INT64_SAFE:
                         raise _Fallback
@@ -299,15 +315,11 @@ def columnar_yannakakis_count(
                 parent_keys, child_keys, radices = edge_keys(
                     book, parent_cols, child_cols
                 )
-                message_bound = bounds[node] * blocks[node].row_count
-                new_bound = bounds[p] * message_bound
-                if new_bound > _INT64_SAFE:
-                    raise _Fallback
                 radix_total = 1
                 for radix in radices:
                     radix_total *= max(int(radix), 1)
                 if radix_total <= TABLE_RADIX_LIMIT and (
-                    message_bound < _FLOAT_EXACT
+                    child_total < _FLOAT_EXACT
                 ):
                     table = np.bincount(
                         child_keys,
@@ -318,9 +330,11 @@ def columnar_yannakakis_count(
                 else:
                     unique_keys, sums = _group_sum(child_keys, counts[node])
                     message = _lookup_sums(unique_keys, sums, parent_keys)
+                if bounds[p] * int(message.max()) > _INT64_SAFE:
+                    raise _Fallback
                 counts[p] = counts[p] * message
-                bounds[p] = new_bound
-                if not counts[p].any():
+                bounds[p] = int(counts[p].max())
+                if bounds[p] == 0:
                     return 0
             component_total = _exact_sum(counts[root], bounds[root])
             if component_total == 0:
@@ -340,193 +354,294 @@ def _exact_sum(values: np.ndarray, bound: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# generic join: LFTJ on sorted column arrays
+# generic join: level at a time on sorted code columns
 # ----------------------------------------------------------------------
 
 
-def _generic_setup(
+def variable_kinds(
+    atoms: Sequence[JoinAtom], blocks: Sequence[ColumnBlock]
+) -> dict[str, str] | None:
+    """Each variable's column kind, or ``None`` when one variable is a
+    code column in one atom and a verbatim id in another (the two are
+    incomparable as raw ints)."""
+    kind_of: dict[str, str] = {}
+    for atom, block in zip(atoms, blocks):
+        for j, v in enumerate(atom.variables):
+            if kind_of.setdefault(v, block.kinds[j]) != block.kinds[j]:
+                return None
+    return kind_of
+
+
+def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concat(arange(s, s + c) for s, c in zip(starts, counts))``,
+    built with ``np.repeat`` index arithmetic instead of a loop."""
+    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return np.repeat(starts, counts) + offsets
+
+
+def _sorted_distinct_rows(matrix: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``matrix`` in lexicographic order: one
+    ``np.unique`` over packed keys when the column ranges allow, else a
+    lexsort and an adjacent-row comparison."""
+    n, width = matrix.shape
+    if n == 0 or width == 0:
+        return matrix[: min(n, 1)]
+    cols = [matrix[:, j] for j in range(width)]
+    packed = pack_key_columns(cols, [int(c.max()) + 1 for c in cols])
+    if packed is not None:
+        _, first = np.unique(packed, return_index=True)
+        return matrix[first]
+    matrix = matrix[np.lexsort(cols[::-1])]
+    distinct = np.ones(n, dtype=bool)
+    distinct[1:] = (matrix[1:] != matrix[:-1]).any(axis=1)
+    return matrix[distinct]
+
+
+class _SortedAtom:
+    """One atom of the level join: its distinct rows as ``int64``
+    columns in global variable order, sorted lexicographically.
+
+    ``keys[d]`` is ``gid * radix[d] + cols[d]``, where ``gid`` numbers
+    the distinct prefixes of columns ``0..d-1``.  It is sorted, so one
+    batched ``searchsorted`` finds, for every live prefix at once, the
+    rows that extend the prefix's row range by a value.  ``starts[d]``
+    lists the first row of each distinct depth-``d`` prefix, then the
+    row count: the distinct values of column ``d`` inside a prefix's
+    row range are one contiguous slice of it."""
+
+    __slots__ = ("cols", "keys", "radix", "starts", "size")
+
+    def __init__(self, matrix: np.ndarray):
+        matrix = _sorted_distinct_rows(matrix)
+        n = int(matrix.shape[0])
+        self.size = n
+        self.cols: list[np.ndarray] = []
+        self.keys: list[np.ndarray] = []
+        self.radix: list[int] = []
+        self.starts: list[np.ndarray] = []
+        gid = np.zeros(n, dtype=np.int64)
+        for j in range(matrix.shape[1]):
+            col = matrix[:, j].astype(np.int64)
+            radix = int(col.max()) + 1
+            if n * radix > _INT64_SAFE:
+                raise _Fallback
+            key = gid * radix + col
+            new = np.ones(n, dtype=bool)
+            new[1:] = key[1:] != key[:-1]
+            self.cols.append(col)
+            self.keys.append(key)
+            self.radix.append(radix)
+            self.starts.append(np.append(np.flatnonzero(new), n))
+            gid = np.cumsum(new) - 1
+
+
+def _extend(
+    atoms: Sequence[_SortedAtom],
+    depth: Sequence[dict[int, int]],
+    holders: Sequence[int],
+    level: int,
+    lo: list,
+    hi: list,
+) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Extend every live prefix by one variable.  Each prefix's pivot
+    is the atom holding the variable with the narrowest row range; the
+    pivot's distinct values there are the candidates, and every other
+    holder keeps a candidate only if one batched ``searchsorted`` finds
+    it.  Returns, per surviving extension, its parent prefix, the new
+    row range of every holder, and the bound value."""
+    if len(holders) == 1:
+        groups = [(holders[0], np.arange(lo[holders[0]].size))]
+    else:
+        widths = np.stack([hi[a] - lo[a] for a in holders])
+        choice = np.argmin(widths, axis=0)
+        groups = [
+            (pivot, np.flatnonzero(choice == j))
+            for j, pivot in enumerate(holders)
+        ]
+    pieces = []
+    for pivot, sel in groups:
+        if sel.size == 0:
+            continue
+        atom = atoms[pivot]
+        starts = atom.starts[depth[pivot][level]]
+        first = np.searchsorted(starts, lo[pivot][sel])
+        counts = np.searchsorted(starts, hi[pivot][sel]) - first
+        runs = _expand_ranges(first, counts)
+        parent = np.repeat(sel, counts)
+        run_lo = starts[runs]
+        ranges = {pivot: (run_lo, starts[runs + 1])}
+        value = atom.cols[depth[pivot][level]][run_lo]
+        for other in holders:
+            if other == pivot:
+                continue
+            o = atoms[other]
+            d = depth[other][level]
+            row = lo[other][parent]
+            # keys[d] - cols[d] at any row of a range is gid * radix
+            probe = o.keys[d][row] - o.cols[d][row] + value
+            left = np.searchsorted(o.keys[d], probe, side="left")
+            right = np.searchsorted(o.keys[d], probe, side="right")
+            hit = (right > left) & (value < o.radix[d])
+            if not hit.all():
+                parent, value = parent[hit], value[hit]
+                left, right = left[hit], right[hit]
+                ranges = {
+                    a: (start[hit], end[hit])
+                    for a, (start, end) in ranges.items()
+                }
+            ranges[other] = (left, right)
+        pieces.append((parent, ranges, value))
+    if len(pieces) == 1:
+        return pieces[0]
+    return (
+        np.concatenate([p for p, _, _ in pieces]),
+        {
+            a: (
+                np.concatenate([r[a][0] for _, r, _ in pieces]),
+                np.concatenate([r[a][1] for _, r, _ in pieces]),
+            )
+            for a in holders
+        },
+        np.concatenate([v for _, _, v in pieces]),
+    )
+
+
+def level_join(
+    matrices: Sequence[np.ndarray],
+    variables: Sequence[Sequence[str]],
+    order: Sequence[str],
+    mode: str,
+):
+    """The worst-case-optimal generic join, one variable level at a
+    time over all live prefixes at once.
+
+    ``matrices[i]`` holds atom ``i``'s rows (raw ints: codes, or ids),
+    its column ``j`` bound to ``variables[i][j]``; ``order`` lists every
+    variable once.  A live prefix is kept as one row range ``[lo, hi)``
+    per atom (:class:`_SortedAtom`), and each level is one
+    :func:`_extend` over every prefix: no Python loop runs per prefix.
+
+    ``mode`` is ``"count"`` (the number of assignments), ``"boolean"``
+    (whether there is one) or ``"rows"`` (one ``int64`` value column
+    per ``order`` variable).  Count and boolean stop at the first level
+    from which every variable is private to one atom: each prefix then
+    extends by the product of those atoms' range sizes, with no level
+    expanded.  Every mode stops as soon as a level leaves no prefix.
+    Raises :class:`_Fallback` when sort keys would overflow ``int64``.
+    """
+    if any(matrix.shape[0] == 0 for matrix in matrices):
+        if mode == "rows":
+            return [np.zeros(0, dtype=np.int64) for _ in order]
+        return False if mode == "boolean" else 0
+    level_of = {v: i for i, v in enumerate(order)}
+    atoms: list[_SortedAtom] = []
+    depth: list[dict[int, int]] = []
+    for matrix, names in zip(matrices, variables):
+        if not names:
+            continue  # a non-empty nullary atom constrains nothing
+        positions = sorted(range(len(names)), key=lambda j: level_of[names[j]])
+        atoms.append(_SortedAtom(matrix[:, positions]))
+        depth.append({level_of[names[j]]: d for d, j in enumerate(positions)})
+    holders = [
+        [a for a, levels in enumerate(depth) if level in levels]
+        for level in range(len(order))
+    ]
+    last_level = [max(levels) for levels in depth]
+    stop = len(order)
+    if mode != "rows":
+        while stop and len(holders[stop - 1]) == 1:
+            stop -= 1
+    lo: list = [np.zeros(1, dtype=np.int64) for _ in atoms]
+    hi: list = [np.array([atom.size], dtype=np.int64) for atom in atoms]
+    values: list[np.ndarray] = []
+    live = 1
+    for level in range(stop):
+        parent, ranges, value = _extend(atoms, depth, holders[level], level, lo, hi)
+        live = int(parent.size)
+        for a in range(len(atoms)):
+            if last_level[a] <= level:
+                lo[a] = hi[a] = None  # every column bound: never read again
+            elif a in ranges:
+                lo[a], hi[a] = ranges[a]
+            else:
+                lo[a], hi[a] = lo[a][parent], hi[a][parent]
+        if mode == "rows":
+            values = [v[parent] for v in values]
+            values.append(value)
+        if live == 0:
+            break
+    if mode == "rows":
+        if live == 0:
+            return [np.zeros(0, dtype=np.int64) for _ in order]
+        return values
+    if mode == "boolean":
+        return live > 0
+    if live == 0:
+        return 0
+    suffix = sorted({holders[level][0] for level in range(stop, len(order))})
+    if not suffix:
+        return live
+    sizes = [hi[a] - lo[a] for a in suffix]
+    bound = live
+    for size in sizes:
+        bound *= int(size.max())
+    if bound > _INT64_SAFE:
+        sizes = [size.astype(object) for size in sizes]
+    product = sizes[0]
+    for size in sizes[1:]:
+        product = product * size
+    return int(product.sum())
+
+
+def _generic_join(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None,
+    mode: str,
 ):
-    """Sorted-column state for the array LFTJ, or ``None`` on fallback.
-
-    Per atom: its code matrix restricted to its columns *in global
-    variable order* and lexicographically sorted once (``np.lexsort``),
-    stored column-contiguous so the per-level range narrowing runs
-    ``searchsorted`` over cache-friendly segments.
-    """
-    if not atoms:
+    """:func:`level_join` over the atoms' code matrices, or ``None``
+    when the caller must run the trie join."""
+    if not _ENABLED or not atoms:
         return None
     blocks = atom_blocks(atoms)
-    if blocks is None:
+    if blocks is None or variable_kinds(atoms, blocks) is None:
         return None
     order = (
         list(variable_order)
         if variable_order
         else default_variable_order(atoms)
     )
-    var_set = {v for atom in atoms for v in atom.variables}
-    if set(order) != var_set:
+    if set(order) != {v for atom in atoms for v in atom.variables}:
         return None  # let the tuple path raise its usual error
-    # codes and verbatim ids are incomparable as raw ints: a variable's
-    # column kind must agree everywhere it occurs
-    kind_of: dict[str, str] = {}
-    for atom, block in zip(atoms, blocks):
-        for j, v in enumerate(atom.variables):
-            if kind_of.setdefault(v, block.kinds[j]) != block.kinds[j]:
-                return None
-    level_of = {v: i for i, v in enumerate(order)}
-    cols: list[list[np.ndarray]] = []
-    col_at: list[dict[int, int]] = []
-    sizes: list[int] = []
-    for atom, block in zip(atoms, blocks):
-        positions = sorted(
-            range(len(atom.variables)),
-            key=lambda j: level_of[atom.variables[j]],
+    try:
+        return level_join(
+            [np.asarray(block.codes) for block in blocks],
+            [atom.variables for atom in atoms],
+            order,
+            mode,
         )
-        matrix = np.asarray(block.codes)[:, positions]
-        if matrix.shape[0] and matrix.shape[1]:
-            perm = np.lexsort(
-                tuple(matrix[:, j] for j in reversed(range(matrix.shape[1])))
-            )
-            matrix = matrix[perm]
-        cols.append(
-            [np.ascontiguousarray(matrix[:, j]) for j in range(matrix.shape[1])]
-        )
-        col_at.append(
-            {
-                level_of[atom.variables[j]]: depth
-                for depth, j in enumerate(positions)
-            }
-        )
-        sizes.append(int(matrix.shape[0]))
-    advancing: list[list[int]] = [[] for _ in order]
-    for a, mapping in enumerate(col_at):
-        for level in mapping:
-            advancing[level].append(a)
-    if any(not active for active in advancing):
-        return None  # unconstrained variable: tuple path asserts
-    return order, cols, col_at, sizes, advancing
-
-
-def _segment_range(
-    column: np.ndarray, lo: int, hi: int, value
-) -> tuple[int, int]:
-    """The sub-range of ``[lo, hi)`` whose (sorted) entries equal
-    ``value``."""
-    segment = column[lo:hi]
-    return (
-        lo + int(np.searchsorted(segment, value, side="left")),
-        lo + int(np.searchsorted(segment, value, side="right")),
-    )
-
-
-def _sorted_member_mask(segment: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Membership of ``values`` in a sorted ``segment`` via
-    ``searchsorted`` (no hashing, no table)."""
-    if segment.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    idx = np.searchsorted(segment, values)
-    clipped = np.minimum(idx, segment.size - 1)
-    return (idx < segment.size) & (segment[clipped] == values)
-
-
-def _lftj(setup, stop_at_first: bool) -> int:
-    """The array LFTJ core: number of satisfying assignments (or 1/0
-    when ``stop_at_first``).  At each level the pivot is the active atom
-    with the narrowest row range; candidate values are its distinct
-    entries at that level and every other active atom narrows its range
-    by binary search.  The innermost level intersects whole sorted
-    segments at once — each active atom's segment holds pairwise
-    distinct values there (all other columns are bound and rows are
-    unique), so the intersection size is exactly the assignment count.
-    """
-    order, cols, col_at, sizes, advancing = setup
-    n_levels = len(order)
-    if n_levels == 0:
-        return 1  # the single empty assignment, as the trie path yields
-    if any(size == 0 for size in sizes):
-        return 0
-    last = n_levels - 1
-
-    def recurse(level: int, los: list[int], his: list[int]) -> int:
-        active = advancing[level]
-        pivot = min(active, key=lambda a: his[a] - los[a])
-        column = cols[pivot][col_at[pivot][level]]
-        lo, hi = los[pivot], his[pivot]
-        if lo >= hi:
-            return 0
-        if level == last:
-            common = column[lo:hi]
-            for a in active:
-                if a == pivot:
-                    continue
-                other = cols[a][col_at[a][level]]
-                segment = other[los[a] : his[a]]
-                common = common[_sorted_member_mask(segment, common)]
-                if common.size == 0:
-                    return 0
-            return 1 if stop_at_first else int(common.size)
-        total = 0
-        position = lo
-        while position < hi:
-            value = column[position]
-            run_end = position + int(
-                np.searchsorted(column[position:hi], value, side="right")
-            )
-            new_los = list(los)
-            new_his = list(his)
-            new_los[pivot] = position
-            new_his[pivot] = run_end
-            matched = True
-            for a in active:
-                if a == pivot:
-                    continue
-                left, right = _segment_range(
-                    cols[a][col_at[a][level]], los[a], his[a], value
-                )
-                if left == right:
-                    matched = False
-                    break
-                new_los[a] = left
-                new_his[a] = right
-            if matched:
-                found = recurse(level + 1, new_los, new_his)
-                if found and stop_at_first:
-                    return 1
-                total += found
-            position = run_end
-        return total
-
-    return recurse(0, [0] * len(cols), list(sizes))
+    except _Fallback:
+        return None
 
 
 def columnar_generic_join_count(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
 ) -> int | None:
-    """Assignment count via the sorted-column-array LFTJ, or ``None``
-    when the atoms are not columnar and the trie path must run."""
-    if not _ENABLED:
-        return None
-    setup = _generic_setup(atoms, variable_order)
-    if setup is None:
-        return None
-    return _lftj(setup, stop_at_first=False)
+    """Assignment count via the level-at-a-time join on code arrays, or
+    ``None`` when the atoms are not columnar and the trie path must
+    run."""
+    return _generic_join(atoms, variable_order, "count")
 
 
 def columnar_generic_join_boolean(
     atoms: Sequence[JoinAtom],
     variable_order: Sequence[str] | None = None,
 ) -> bool | None:
-    """Non-emptiness via the sorted-column-array LFTJ (stops at the
-    first witness), or ``None`` on fallback."""
-    if not _ENABLED:
-        return None
-    setup = _generic_setup(atoms, variable_order)
-    if setup is None:
-        return None
-    return bool(_lftj(setup, stop_at_first=True))
+    """Non-emptiness via the level-at-a-time join on code arrays (stops
+    at the first empty level), or ``None`` on fallback."""
+    return _generic_join(atoms, variable_order, "boolean")
 
 
 # ----------------------------------------------------------------------
@@ -620,11 +735,7 @@ def _join_frames(left: _Frame, right: _Frame, kind_of, book) -> _Frame:
         hi = np.searchsorted(right_sorted, left_keys, side="right")
         matches = hi - lo
         left_idx = np.repeat(np.arange(left.rows), matches)
-        total = int(matches.sum())
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(matches) - matches, matches
-        )
-        right_idx = right_order[np.repeat(lo, matches) + offsets]
+        right_idx = right_order[_expand_ranges(lo, matches)]
     else:
         left_idx = np.repeat(np.arange(left.rows), right.rows)
         right_idx = np.tile(np.arange(right.rows), left.rows)
@@ -687,12 +798,12 @@ def columnar_yannakakis_full(
     if blocks is None:
         return None
     book = blocks[0].book if blocks else None
-    kind_of: dict[str, str] = {}
+    kind_of = variable_kinds(atoms, blocks)
+    if kind_of is None:
+        return None
     radix_of: dict[str, int] = {}
     for atom, block in zip(atoms, blocks):
         for j, v in enumerate(atom.variables):
-            if kind_of.setdefault(v, block.kinds[j]) != block.kinds[j]:
-                return None
             radix_of[v] = max(radix_of.get(v, 1), block.column_radix(j))
     all_vars: list[str] = []
     for atom in atoms:

@@ -6,6 +6,16 @@ Chooses the asymptotically right strategy per query structure:
 * cyclic queries -> fhtw-optimal hypertree decomposition: worst-case
   optimal bag materialisation + Yannakakis (``O(N^fhtw log N)``);
 * ``method='generic'`` forces one flat worst-case optimal join.
+
+Each branch runs columnar-first: while every relation is a code matrix
+over one shared codebook, the Yannakakis branch runs the
+``columnar_yannakakis_*`` kernels, the decomposition branch builds its
+bags with the level-at-a-time join and runs the same kernels over the
+bag tree (:mod:`repro.engine.decomposition`), and the generic branch
+runs the level-at-a-time join directly.  The tuple implementations
+answer everything else (delta-patched variants, user-built databases)
+and remain the differential oracles.  The SQL planner names the same
+method ``auto`` picks, so both surfaces run one kernel per disjunct.
 """
 
 from __future__ import annotations

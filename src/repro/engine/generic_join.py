@@ -58,7 +58,7 @@ def _build_trie(atom: JoinAtom, order: Sequence[str]) -> dict:
         atom.variables.index(v) for v in order if v in atom.variables
     ]
     root: dict = {}
-    for t in atom.relation.tuples:
+    for t in atom.relation:
         node = root
         for p in positions:
             node = node.setdefault(t[p], {})
@@ -119,9 +119,9 @@ def generic_join_boolean(
 ) -> bool:
     """True iff the join is non-empty (stops at the first witness).
 
-    Runs on sorted column arrays (searchsorted range narrowing instead
-    of trie descent) while every atom is columnar over one codebook;
-    the trie path below is the retained fallback and oracle.
+    Runs the level-at-a-time join on code arrays while every atom is
+    columnar over one codebook; the trie path below is the retained
+    fallback and oracle.
     """
     # local import: columnar_eval imports JoinAtom from this module
     from .columnar_eval import columnar_generic_join_boolean
@@ -140,8 +140,8 @@ def generic_join_count(
 ) -> int:
     """Number of satisfying assignments of the join.
 
-    Dispatches to the sorted-column-array backend when the atoms are
-    columnar (see :mod:`repro.engine.columnar_eval`); the trie-based
+    Dispatches to the level-at-a-time join on code arrays when the
+    atoms are columnar (see :mod:`repro.engine.columnar_eval`); the trie-based
     enumeration below is the retained fallback and differential oracle.
     """
     from .columnar_eval import columnar_generic_join_count

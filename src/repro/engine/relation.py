@@ -55,6 +55,7 @@ class Relation:
     decoding.  Because the returned set is mutable and mutations cannot
     be observed, materializing drops the column block — consumers that
     want the arrays (:attr:`columnar`) must ask before touching tuples.
+    Iterating (``for t in relation``) only reads, so it keeps the block.
     """
 
     def __init__(
@@ -154,6 +155,11 @@ class Relation:
         return len(self._tuples)
 
     def __iter__(self):
+        # reading rows is not a mutation: a columnar relation yields its
+        # block's decoded rows and keeps the block for the kernels
+        block = self.columnar
+        if block is not None:
+            return iter(block.rows())
         return iter(self.tuples)
 
     def __contains__(self, t: Sequence[Value]) -> bool:

@@ -35,7 +35,7 @@ def _rooted_orders(
 
 def _atom_relations(atoms: Sequence[JoinAtom]) -> dict[int, Relation]:
     return {
-        i: Relation(f"n{i}", atom.variables, atom.relation.tuples)
+        i: Relation(f"n{i}", atom.variables, atom.relation)
         for i, atom in enumerate(atoms)
     }
 

@@ -70,7 +70,7 @@ class DisjunctPlan:
     """The optimizer's verdict for one disjunct."""
 
     strategy: str  # naive | sweep | reduction | filtered
-    ej_method: str  # yannakakis | generic
+    ej_method: str  # yannakakis | decomposition
     cost: float
     candidates: dict[str, float]
     widths: dict[str, float]
@@ -205,7 +205,9 @@ def plan_disjunct(
         "ej_disjuncts": float(report.num_ej_hypergraphs),
         "reduced": float(report.num_reduced),
     }
-    ej_method = "yannakakis" if report.max_fhtw <= 1.0 else "generic"
+    # the kernel ``count_ej``'s ``auto`` plan picks for a cyclic
+    # disjunct, so SQL and the Python API run the same one
+    ej_method = "yannakakis" if report.max_fhtw <= 1.0 else "decomposition"
     rows = _estimated_rows(disjunct, db, sizes, cache)
     log_n = math.log2(total + 2.0)
     columnar = _tables_columnar(disjunct, db)

@@ -17,9 +17,14 @@ which stay in the tree as the oracles:
   kernels must fall back correctly) and on **memmap-warm** artifacts
   rebuilt from serialized v5 cache frames.
 
-Tuple oracles materialize relations (a ``.tuples`` touch drops the
-column block), so every comparison runs the columnar kernel on one
-artifact and its oracle on an independently-built twin.
+Cyclic disjuncts take the decomposition path, whose bags are built on
+code arrays by the level-at-a-time join: its count, Boolean and full
+evaluation must equal the tuple bag path (kernels forced off) and the
+naive oracle, on the fuzz matrix and on edge inputs (an empty relation,
+a cartesian bag, a zero-width projection, an ``id`` column in a bag).
+
+The tuple tier iterates rows without materializing them, but some
+oracles still compare against an independently-built twin artifact.
 
 CI runs this module across the ``REPRO_FUZZ_SEED`` matrix — the
 scenario generators are imported from ``test_differential_cache`` so
@@ -31,17 +36,19 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_differential_cache import (
     SCENARIOS,
     _patchable_deltas,
     build_database,
+    namespaced,
     random_queries,
     scenario_seed,
 )
 
-from repro.core import naive_count
+from repro.core import QuerySession, naive_count
 from repro.core.baselines import naive_witnesses
 from repro.core.cache_format import load_result, serialize_result
 from repro.core.disjunct_eval import count_disjunction
@@ -53,14 +60,23 @@ from repro.engine import (
     columnar_yannakakis_full,
     use_columnar_kernels,
 )
+from repro.engine.decomposition import (
+    columnar_boolean_with_decomposition,
+    columnar_count_with_decomposition,
+    columnar_full_with_decomposition,
+    count_with_decomposition,
+    evaluate_boolean_with_decomposition,
+    evaluate_full_with_decomposition,
+)
 from repro.engine.ej import (
     _label_tree_to_index_tree,
     count_ej,
     evaluate_ej,
     evaluate_ej_full,
     join_atoms_for,
+    optimal_decomposition,
 )
-from repro.engine.generic_join import generic_join_count
+from repro.engine.generic_join import JoinAtom, generic_join_count
 from repro.engine.relation import Database, Relation
 from repro.engine.yannakakis import yannakakis_count, yannakakis_full
 from repro.hypergraph.acyclicity import join_tree
@@ -71,6 +87,16 @@ from repro.reduction import (
     forward_reduce,
     shift_distinct_left,
 )
+from repro.reduction.columnar import (
+    CODE_DTYPE,
+    COL_CODE,
+    COL_ID,
+    CodeBook,
+    ColumnBlock,
+)
+from repro.widths.tree_decomposition import TreeDecomposition
+
+TRIANGLE = "R([A],[B]) & S([B],[C]) & T([A],[C])"
 
 
 def _acyclic_disjuncts(result):
@@ -81,6 +107,16 @@ def _acyclic_disjuncts(result):
         if tree is not None:
             out.append((ej, _label_tree_to_index_tree(ej, tree)))
     return out
+
+
+def _cyclic_disjuncts(result):
+    """(ej_query, fhtw-optimal decomposition) for every cyclic
+    disjunct."""
+    return [
+        (ej, optimal_decomposition(ej.hypergraph()))
+        for ej in result.ej_queries
+        if join_tree(ej.hypergraph()) is None
+    ]
 
 
 def _witness_set(witnesses):
@@ -147,6 +183,96 @@ def test_kernels_engage_on_columnar_disjuncts():
         assert full.tuples == reference.tuples
 
 
+def _triangle_db(seed: int, n: int = 12) -> Database:
+    rng = random.Random(seed)
+
+    def iv():
+        lo = rng.randint(0, 20)
+        return Interval(lo, lo + rng.randint(0, 4))
+
+    return Database(
+        Relation(name, cols, {(iv(), iv()) for _ in range(n)})
+        for name, cols in (("R", "AB"), ("S", "BC"), ("T", "AC"))
+    )
+
+
+def test_cyclic_disjuncts_never_fall_back():
+    """On a columnar Q-triangle reduction every disjunct is cyclic and
+    is answered on code arrays — count, Boolean and full evaluation all
+    engage (no tuple fallback) and match the tuple bag path."""
+    query = parse_query(TRIANGLE)
+    db = _triangle_db(seed=4)
+    for disjoint in (False, True):
+        result = forward_reduce(query, db, disjoint=disjoint, provenance=True)
+        disjuncts = _cyclic_disjuncts(result)
+        assert len(disjuncts) == len(result.ej_queries) == 8
+        for ej, td in disjuncts:
+            atoms = join_atoms_for(ej, result.database)
+            count = columnar_count_with_decomposition(atoms, td)
+            boolean = columnar_boolean_with_decomposition(atoms, td)
+            output = [f"__id_{a.label}" for a in query.atoms]
+            full = columnar_full_with_decomposition(atoms, td, output)
+            assert count is not None, ej.name
+            assert boolean is not None, ej.name
+            assert full is not None, ej.name
+            with use_columnar_kernels(False):
+                assert count == count_with_decomposition(atoms, td)
+                assert boolean == evaluate_boolean_with_decomposition(
+                    atoms, td
+                )
+                reference = evaluate_full_with_decomposition(
+                    atoms, td, output
+                )
+            assert full.schema == reference.schema
+            assert full.tuples == reference.tuples
+        # neither tier stripped a column block off the artifact
+        assert all(r.columnar is not None for r in result.database)
+
+
+def test_session_keeps_the_memoized_reduction_columnar():
+    """A cyclic COUNT and EXISTS through ``QuerySession`` must leave
+    every relation of the memoized reductions columnar, so later calls
+    on them still run the kernels."""
+    query = parse_query(TRIANGLE)
+    session = QuerySession(_triangle_db(seed=6))
+    count = session.count(query)
+    session.evaluate(query, strategy="reduction")
+    assert count == naive_count(query, session.db)
+    memoized = [r for r, _ in session._disjoint.values()]
+    memoized += [r for r, _ in session._reductions.values()]
+    assert len(memoized) == 2
+    for result in memoized:
+        assert all(r.columnar is not None for r in result.database)
+
+
+def test_counting_dp_guards_on_actual_counts():
+    """The DP's int64 guard bounds counts by the arrays' values, not by
+    products of row counts: four 60k-row children (row-count product
+    above 2**62) that each match the root once still count on code
+    arrays."""
+    import networkx as nx
+
+    book = CodeBook()
+    n = 60_000
+    keys = np.array([book.code(k) for k in range(n)], dtype=CODE_DTYPE)
+    atoms = [
+        JoinAtom(
+            Relation.from_columns(
+                "R", ("A",), ColumnBlock(keys[:1, None], (COL_CODE,), book)
+            )
+        )
+    ]
+    for i in range(4):
+        codes = np.stack([keys, np.zeros(n, dtype=CODE_DTYPE)], axis=1)
+        block = ColumnBlock(codes, (COL_CODE, COL_CODE), book)
+        atoms.append(
+            JoinAtom(Relation.from_columns(f"S{i}", ("A", f"X{i}"), block))
+        )
+    tree = nx.star_graph(4)
+    assert columnar_yannakakis_count(atoms, tree) == 1
+    assert yannakakis_count(atoms, tree) == 1
+
+
 def test_kill_switch_forces_the_tuple_tier():
     query = parse_query("R([A]) & S([A],[B]) & T([B])")
     db = _engagement_db(seed=9)
@@ -204,6 +330,134 @@ def test_counting_kernels_match_dict_dp_and_trie(index):
             seed,
             query.name,
         )
+
+
+def _columnar_database(tables: dict, id_columns=()) -> Database:
+    """Integer EJ tables as columnar relations over one CodeBook; the
+    columns named in ``id_columns`` are stored verbatim (``id`` kind)."""
+    book = CodeBook()
+    db = Database()
+    for name, (schema, rows) in tables.items():
+        kinds = [COL_ID if c in id_columns else COL_CODE for c in schema]
+        codes = np.array(
+            [
+                [v if k == COL_ID else book.code(v) for v, k in zip(row, kinds)]
+                for row in sorted(rows)
+            ],
+            dtype=CODE_DTYPE,
+        ).reshape(len(rows), len(schema))
+        block = ColumnBlock(codes, kinds, book)
+        db.add(Relation.from_columns(name, schema, block))
+    return db
+
+
+def _edge_case(name: str):
+    """(query, columnar database, tuple twin, decomposition) for one
+    edge input of the cyclic decomposition path."""
+    rng = random.Random(17)
+
+    def rows(width, n=16):
+        return {tuple(rng.randint(0, 5) for _ in range(width)) for _ in range(n)}
+
+    tables = {
+        "R": (("A", "B"), rows(2)),
+        "S": (("B", "C"), rows(2)),
+        "T": (("A", "C"), rows(2)),
+    }
+    text = "R(A,B) & S(B,C) & T(A,C)"
+    td = None
+    id_columns: tuple = ()
+    if name == "empty":
+        tables["T"] = (("A", "C"), set())
+    elif name == "cartesian":
+        # one bag holds U and V, which share no variable
+        tables["U"] = (("D",), rows(1, 3))
+        tables["V"] = (("E",), rows(1, 3))
+        text += " & U(D) & V(E)"
+        td = TreeDecomposition(
+            [frozenset("ABC"), frozenset("DE")], [(0, 1)]
+        )
+    elif name == "zero-width":
+        # U shares nothing with the triangle's bag: it enters it as a
+        # zero-width projection
+        tables["U"] = (("D",), rows(1, 3))
+        text += " & U(D)"
+    else:
+        assert name == "id-column"
+        tables = {
+            "R": (("A", "B", "X"), rows(3, 40)),
+            "S": (("B", "C", "Y"), rows(3, 40)),
+            "T": (("A", "C", "Z"), rows(3, 40)),
+        }
+        text = "R(A,B,X) & S(B,C,Y) & T(A,C,Z)"
+        id_columns = ("C", "X")
+    query = parse_query(text)
+    twin = Database(
+        Relation(name, schema, rows) for name, (schema, rows) in tables.items()
+    )
+    if td is None:
+        td = optimal_decomposition(query.hypergraph())
+    td.validate(query.hypergraph())
+    return query, _columnar_database(tables, id_columns), twin, td
+
+
+def _decomposition_answers(atoms, td) -> tuple:
+    """Count, Boolean and full evaluation (all variables, no variable,
+    one variable) through the decomposition path."""
+    variables = list(dict.fromkeys(v for a in atoms for v in a.variables))
+    fulls = []
+    for output in (None, [], variables[:1]):
+        full = evaluate_full_with_decomposition(atoms, td, output)
+        fulls.append((full.schema, full.tuples))
+    return (
+        count_with_decomposition(atoms, td),
+        evaluate_boolean_with_decomposition(atoms, td),
+        fulls,
+    )
+
+
+@pytest.mark.parametrize(
+    "case", [*range(SCENARIOS), "empty", "cartesian", "zero-width", "id-column"]
+)
+def test_cyclic_disjuncts_match_tuple_tier(case):
+    """On cyclic disjuncts the decomposition path answers count,
+    Boolean and full evaluation identically with the kernels on and
+    forced off, and ``count_ij`` agrees with the naive oracle end to
+    end — across the fuzz-seed scenario family (each scenario adds a
+    Q-triangle, so cyclic disjuncts always occur) and on edge inputs."""
+    if isinstance(case, int):
+        seed = scenario_seed(case)
+        rng = random.Random(seed)
+        queries = random_queries(rng)
+        queries.append(namespaced(parse_query(TRIANGLE), "tri_"))
+        db, _ = build_database(rng, queries)
+        checks = []
+        for query in queries:
+            result = forward_reduce(query, db, disjoint=True, provenance=True)
+            checks += [
+                (join_atoms_for(ej, result.database), td)
+                for ej, td in _cyclic_disjuncts(result)
+            ]
+            total = count_ij(query, db)
+            with use_columnar_kernels(False):
+                tuple_total = count_ij(query, db)
+            assert total == tuple_total == naive_count(query, db), (
+                seed,
+                query.name,
+            )
+        assert checks, seed
+    else:
+        query, db, twin, td = _edge_case(case)
+        expected = naive_count(query, twin)
+        assert count_ej(query, db) == expected
+        assert evaluate_ej(query, db) == (expected > 0)
+        checks = [(join_atoms_for(query, db), td)]
+        assert count_with_decomposition(*checks[0]) == expected
+    for atoms, td in checks:
+        got = _decomposition_answers(atoms, td)
+        with use_columnar_kernels(False):
+            want = _decomposition_answers(atoms, td)
+        assert got == want, case
 
 
 @pytest.mark.parametrize("index", range(SCENARIOS))

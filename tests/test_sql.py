@@ -369,6 +369,24 @@ class TestOptimizer:
         triangle = data["disjuncts"][1]
         assert triangle["widths"]["max_fhtw"] <= 1.0
         assert triangle["ej_method"] == "yannakakis"
+        # Q-triangle over two-interval tables: its reduced disjuncts are
+        # cyclic, and SQL names the kernel count_ej's ``auto`` runs
+        rng = random.Random(7)
+        cyclic = Database(
+            Relation(name, cols, [(interval(rng), interval(rng)) for _ in range(6)])
+            for name, cols in (("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C")))
+        )
+        data = explain_program(
+            compile_sql(
+                "SELECT COUNT(*) FROM R r, S s, T t WHERE r.B OVERLAPS s.B "
+                "AND s.C OVERLAPS t.C AND r.A OVERLAPS t.A",
+                cyclic,
+            ),
+            cyclic,
+        )
+        (entry,) = data["disjuncts"]
+        assert entry["widths"]["max_fhtw"] > 1.0
+        assert entry["ej_method"] == "decomposition"
 
     def test_tuple_tables_render_columnar_no(self):
         """`cost_split_db` holds plain tuple relations: every disjunct
